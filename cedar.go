@@ -58,18 +58,6 @@ var SetSteppedEngine = sim.SetSteppedMode
 // SteppedEngine reports the current process-wide engine mode.
 var SteppedEngine = sim.SteppedModeEnabled
 
-// SetShards sets the process-wide intra-run parallelism for machines
-// built afterwards: with n > 1 (and more than one cluster) each cluster
-// becomes an engine shard and every cycle ticks the shards concurrently
-// on up to n workers before the serial hub pass. The schedule is
-// required to be invisible — -shards 1 and -shards N artifacts are
-// byte-compared by the shards equivalence gate — so n tunes wall time
-// only. Values below 1 mean 1 (the sequential schedule).
-var SetShards = sim.SetShards
-
-// Shards reports the process-wide intra-run parallelism bound.
-var Shards = sim.Shards
-
 // Machine is a configured Cedar system: clusters of CEs, networks, global
 // memory, and allocators for placing workload data.
 type Machine = core.Machine

@@ -63,7 +63,6 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		config   = fs.String("config", "", "campaign config JSON (default: the built-in smoke campaign)")
 		out      = fs.String("out", "", "artifact path (default BENCH_<area>.json in the current directory)")
 		jobs     = fs.Int("jobs", 0, "override the campaign's jobs list with one worker count")
-		shards   = fs.Int("shards", 0, "override the campaign's shards list with one intra-run worker bound")
 		clusters = fs.Int("clusters", 0, "simulated machine width for default-machine points (0 = as built; 16/64 = scale-up presets)")
 		quiet    = fs.Bool("q", false, "suppress progress lines")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -76,7 +75,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	// Campaigns declare their own fault plans per matrix axis; Setup here
 	// only validates the worker flags and clears any leftover process-wide
 	// plan so a campaign's healthy points really are healthy.
-	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Shards: *shards, Clusters: *clusters}); err != nil {
+	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Clusters: *clusters}); err != nil {
 		lg.Print(err)
 		return 2
 	}
@@ -101,7 +100,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	opt := bench.RunOptions{Jobs: *jobs, Shards: *shards, Now: time.Now, Progress: stderr}
+	opt := bench.RunOptions{Jobs: *jobs, Now: time.Now, Progress: stderr}
 	if *quiet {
 		opt.Progress = nil
 	}

@@ -11,7 +11,7 @@
 //	cedarserve                                  # serve on localhost:8347, memory cache only
 //	cedarserve -addr :9000 -store /var/cedar    # durable store, all interfaces
 //	cedarserve -store d -store-max-mb 256       # bound the store to 256 MiB (LRU)
-//	cedarserve -jobs 4 -shards 2                # at most 4 concurrent simulations, 2 engine workers each
+//	cedarserve -jobs 4                          # at most 4 concurrent simulations
 //
 // Submit a point with e.g.:
 //
@@ -30,6 +30,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"cedar/internal/cliutil"
 	"cedar/internal/serve"
@@ -39,6 +40,11 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle or trickling connections cannot pin the
+// daemon's goroutines and sockets indefinitely.
+const readHeaderTimeout = 10 * time.Second
 
 // run is main with the process edges (args, streams, exit code) passed
 // in: exit 2 for a bad invocation, 1 for a runtime failure.
@@ -54,7 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "cedarserve: serving on http://%s\n", ln.Addr())
-	if err := (&http.Server{Handler: handler}).Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		lg.Print(err)
 		return 1
 	}
@@ -73,7 +80,6 @@ func setup(args []string, stderr io.Writer) (http.Handler, string, int) {
 		storeDir = fs.String("store", "", "durable response store directory (empty: in-memory cache only)")
 		storeMax = fs.Int("store-max-mb", 1024, "store size budget in MiB before LRU eviction (0 = unbounded)")
 		jobs     = fs.Int("jobs", 0, "max concurrently running simulations (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 0, "intra-run engine worker bound per simulation (0/1 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, "", 2
@@ -104,7 +110,7 @@ func setup(args []string, stderr io.Writer) (http.Handler, string, int) {
 	}
 	// Faults arrive per request, so the daemon itself always starts with
 	// a clean process-wide plan; Setup also validates the worker flags.
-	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Shards: *shards}); err != nil {
+	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs}); err != nil {
 		lg.Print(err)
 		return nil, "", 2
 	}

@@ -91,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
 		metrics   = fs.String("metrics", "", "write the metrics snapshot as CSV")
 		jobs      = fs.Int("jobs", 0, "parallel experiment jobs (0 = GOMAXPROCS); output is identical at any value")
-		shards    = fs.Int("shards", 0, "intra-run parallel engine worker bound (1 = sequential); artifacts are byte-identical at any value")
 		clusters  = fs.Int("clusters", 0, "simulated machine width in clusters (0 = as-built 4; 16/64 = scale-up presets)")
 		faults    = fs.String("faults", "", "JSON fault plan (or \"demo\") injected into every simulated machine")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -100,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	plan, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Shards: *shards, Clusters: *clusters, Faults: *faults})
+	plan, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Clusters: *clusters, Faults: *faults})
 	if err != nil {
 		lg.Print(err)
 		return 2

@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
 		metrics   = fs.String("metrics", "", "write the metrics snapshot as CSV")
 		jobs      = fs.Int("jobs", 0, "parallel experiment jobs (0 = GOMAXPROCS); output is identical at any value")
-		shards    = fs.Int("shards", 0, "intra-run parallel engine worker bound (1 = sequential); artifacts are byte-identical at any value")
 		faults    = fs.String("faults", "", "JSON fault plan (or \"demo\") injected into every simulated machine")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file")
@@ -55,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Shards: *shards, Faults: *faults}); err != nil {
+	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Faults: *faults}); err != nil {
 		lg.Print(err)
 		return 2
 	}

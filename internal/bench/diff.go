@@ -144,23 +144,17 @@ func Diff(old, new *Artifact, opt DiffOptions) (*DiffReport, error) {
 		}
 	}
 
-	// Passes pair up by their full axis position. Artifacts from before
-	// the shards axis carry 0 there, which still pairs correctly against
-	// other pre-shards artifacts.
-	type runKey struct{ jobs, shards int }
-	oldRuns := map[runKey]RunMeasure{}
+	// Passes pair up by their jobs count.
+	oldRuns := map[int]RunMeasure{}
 	for _, m := range old.Measured.Runs {
-		oldRuns[runKey{m.Jobs, m.Shards}] = m
+		oldRuns[m.Jobs] = m
 	}
 	for _, nm := range new.Measured.Runs {
-		om, ok := oldRuns[runKey{nm.Jobs, nm.Shards}]
+		om, ok := oldRuns[nm.Jobs]
 		if !ok {
 			continue
 		}
 		id := fmt.Sprintf("jobs=%d allocs", nm.Jobs)
-		if nm.Shards > 1 {
-			id = fmt.Sprintf("jobs=%d shards=%d allocs", nm.Jobs, nm.Shards)
-		}
 		if om.Mallocs == 0 {
 			// Same zero-baseline rule as simcycles: explicit new-vs-zero,
 			// never a NaN or +Inf percentage. Allocations from a baseline

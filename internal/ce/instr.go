@@ -123,10 +123,11 @@ type Controller interface {
 // Program is a fixed instruction sequence implementing Controller.
 type Program struct {
 	Instrs []*Instr
-	// mu guards the lazily built position map: CEs in different cluster
-	// shards call Next concurrently on an intra-run parallel engine. Each
-	// CE only ever touches its own entry, so the values — and therefore
-	// the simulated behavior — are schedule-independent.
+	// mu guards the lazily built position map. The engine calls Next
+	// from one goroutine, but a Program is a plain library value that
+	// callers may share between machines running on different
+	// goroutines, so Next must stay race-free. Each CE only ever touches
+	// its own entry.
 	mu  sync.Mutex
 	pos map[int]int
 }

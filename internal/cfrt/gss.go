@@ -65,8 +65,8 @@ func (r *Runtime) guidedLoop(ci, k int, ph XDoall) {
 // then claim it with a fetch-add (the loop end clips over-claimed
 // tails). The estimate costs a real global load — every processor's view
 // of the machine-wide progress travels through the network, never
-// through simulator-side shared state, so claims behave identically on
-// the sequential and sharded engine schedules.
+// through simulator-side shared state, so a chunk depends only on what
+// the simulated processor could have observed.
 func (r *Runtime) guidedClaim(ci, k, n int, got func(first int64, chunk int)) {
 	p := len(r.ces)
 	res := &r.res[k]

@@ -39,19 +39,16 @@ type Runtime struct {
 	// obs is the machine's observability hub (nil when off). Runtime
 	// events double as scope counters and phase/loop trace spans.
 	obs *scope.Hub
-	// sinks[ci] is the scope hub participant ci posts spans to from
-	// instruction callbacks: its cluster's shard sink on a sharded
-	// machine, obs itself otherwise.
-	sinks []*scope.Hub
+	// phaseStart[k] is the cycle the first participant entered phase k
+	// (-1 until then); the phase span closes at the barrier pass, which
+	// fires exactly once per phase.
+	phaseStart       []int64
+	nPhaseEnters     int64
+	nClaims          int64
+	nBarrierArrivals int64
+	nCDStarts        int64
+	nCDJoins         int64
 }
-
-// Runtime observation state lives per participant (ceCtl below) rather
-// than on the Runtime: instruction callbacks fire inside CE ticks, which
-// run concurrently across cluster shards on an intra-run parallel
-// engine. Counters are summed at snapshot time and the phase-span start
-// is the minimum over participants at the barrier pass — both reads
-// happen cycles after the last write they observe, so the engine's
-// cycle barrier orders them.
 
 type ceCtl struct {
 	q        []*ce.Instr
@@ -61,15 +58,6 @@ type ceCtl struct {
 	// the bus broadcast can fire before a slow worker enters the phase,
 	// and this counter guarantees it still joins that loop.
 	cdSeen int
-
-	// ev counts this participant's runtime events, indexed by kind-1.
-	ev [evKinds]int64
-	// phaseStart[k] is the cycle this participant entered phase k (-1
-	// until then); the span start is the minimum over participants.
-	phaseStart []int64
-	// trace buffers tracer events on a sharded machine, flushed to the
-	// shared tracer in participant order by the engine's drain phase.
-	trace []perfmon.Event
 }
 
 type phaseRes struct {
@@ -136,22 +124,15 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 		})
 	}
 	r.obs = m.Scope
-	for ci, e := range r.ces {
-		c := r.ctl[ci]
-		c.phaseStart = make([]int64, len(phases))
-		for i := range c.phaseStart {
-			c.phaseStart[i] = -1
-		}
-		r.sinks = append(r.sinks, m.ClusterScope(e.Cluster))
+	r.phaseStart = make([]int64, len(phases))
+	for i := range r.phaseStart {
+		r.phaseStart[i] = -1
 	}
-	r.obs.Counter("cfrt.phase_enters", func() int64 { return r.sumEv(EvPhaseEnter) })
-	r.obs.Counter("cfrt.claims", func() int64 { return r.sumEv(EvClaim) })
-	r.obs.Counter("cfrt.barrier_arrivals", func() int64 { return r.sumEv(EvBarrierArrive) })
-	r.obs.Counter("cfrt.cd_starts", func() int64 { return r.sumEv(EvCDStart) })
-	r.obs.Counter("cfrt.cd_joins", func() int64 { return r.sumEv(EvCDJoin) })
-	// On a sharded machine the tracer buffers flush once per cycle, in
-	// participant order — the order the sequential schedule posts in.
-	m.AddDrain(func(int64) { r.flushTrace() })
+	r.obs.Counter("cfrt.phase_enters", func() int64 { return r.nPhaseEnters })
+	r.obs.Counter("cfrt.claims", func() int64 { return r.nClaims })
+	r.obs.Counter("cfrt.barrier_arrivals", func() int64 { return r.nBarrierArrivals })
+	r.obs.Counter("cfrt.cd_starts", func() int64 { return r.nCDStarts })
+	r.obs.Counter("cfrt.cd_joins", func() int64 { return r.nCDJoins })
 	// Library path lengths: the non-sync claim performs the full lock /
 	// read / increment / write / unlock sequence over the network (≈4
 	// round trips ≈ 52 cycles); the rest of the ≈30 µs iteration fetch

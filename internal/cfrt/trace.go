@@ -22,9 +22,6 @@ const (
 	EvCDStart
 	// EvCDJoin: a CE completed a cluster join.
 	EvCDJoin
-
-	// evKinds is the number of event kinds, for per-participant counts.
-	evKinds = int(EvCDJoin)
 )
 
 // EventName renders a runtime event kind.
@@ -52,84 +49,49 @@ func EventName(kind uint16) string {
 func (r *Runtime) SetTracer(tr *perfmon.Tracer) { r.tracer = tr }
 
 // post records a runtime event if a tracer is attached, and feeds the
-// observability hub's counters and phase spans. It always runs inside
-// the posting participant's tick, so everything it writes is the
-// participant's own (or its cluster shard's) state.
+// observability hub's counters and phase spans.
 func (r *Runtime) post(ci int, cycle int64, kind uint16, value int64) {
-	r.observe(ci, cycle, kind, value)
+	r.observe(cycle, kind, value)
 	if r.tracer == nil {
 		return
 	}
-	ev := perfmon.Event{
+	r.tracer.Post(perfmon.Event{
 		Cycle: cycle,
 		Kind:  kind,
 		CE:    int32(r.ces[ci].ID),
 		Value: value,
-	}
-	if r.m.Sharded() {
-		// The tracer is shared across clusters; buffer per participant
-		// and flush in participant order at the engine's drain phase.
-		r.ctl[ci].trace = append(r.ctl[ci].trace, ev)
-		return
-	}
-	r.tracer.Post(ev)
+	})
 }
 
-// flushTrace forwards buffered tracer events in participant order —
-// within one cycle, the order a sequential pass posts in, because each
-// participant's posts happen during its own tick and ticks run in index
-// order.
-func (r *Runtime) flushTrace() {
-	if r.tracer == nil {
-		return
-	}
-	for _, c := range r.ctl {
-		for i := range c.trace {
-			r.tracer.Post(c.trace[i])
-		}
-		c.trace = c.trace[:0]
-	}
-}
-
-// sumEv totals one event kind over every participant. Reads happen at
-// snapshot time, after (or between) cycles, so the per-participant
-// counts are quiescent.
-func (r *Runtime) sumEv(kind uint16) int64 {
-	var v int64
-	for _, c := range r.ctl {
-		v += c.ev[kind-1]
-	}
-	return v
-}
-
-// observe folds a runtime event into the scope hub: every kind bumps the
-// participant's counter, the first phase entry opens the phase span, and
-// the barrier pass (which fires exactly once per phase, on the last
-// arrival, cycles after every participant's entry) closes it on the
-// "cfrt/phases" track.
-func (r *Runtime) observe(ci int, cycle int64, kind uint16, value int64) {
+// observe folds a runtime event into the scope hub: every kind bumps a
+// counter, the first phase entry opens the phase span, and the barrier
+// pass (which fires exactly once per phase, on the last arrival) closes
+// it on the "cfrt/phases" track.
+func (r *Runtime) observe(cycle int64, kind uint16, value int64) {
 	if r.obs == nil {
 		return
 	}
-	c := r.ctl[ci]
-	c.ev[kind-1]++
 	switch kind {
 	case EvPhaseEnter:
-		if k := int(value); c.phaseStart[k] < 0 {
-			c.phaseStart[k] = cycle
+		r.nPhaseEnters++
+		if k := int(value); r.phaseStart[k] < 0 {
+			r.phaseStart[k] = cycle
 		}
+	case EvClaim:
+		r.nClaims++
+	case EvBarrierArrive:
+		r.nBarrierArrivals++
 	case EvBarrierPass:
 		k := int(value)
-		start := int64(-1)
-		for _, o := range r.ctl {
-			if s := o.phaseStart[k]; s >= 0 && (start < 0 || s < start) {
-				start = s
-			}
-		}
+		start := r.phaseStart[k]
 		if start < 0 {
 			start = cycle
 		}
-		r.sinks[ci].Span("cfrt/phases", r.phaseName(k), start, cycle)
+		r.obs.Span("cfrt/phases", r.phaseName(k), start, cycle)
+	case EvCDStart:
+		r.nCDStarts++
+	case EvCDJoin:
+		r.nCDJoins++
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package cliutil holds the flag plumbing shared by the commands:
-// validation of the -jobs worker count, the -shards intra-run engine
-// bound, the -clusters machine width, and loading/installing the
-// -faults plan. Keeping it in one place means the commands cannot
-// drift apart in how they reject bad invocations.
+// validation of the -jobs worker count, the -clusters machine width,
+// and loading/installing the -faults plan. Keeping it in one place
+// means the commands cannot drift apart in how they reject bad
+// invocations.
 package cliutil
 
 import (
@@ -12,7 +12,6 @@ import (
 	"cedar/internal/fault"
 	"cedar/internal/fleet"
 	"cedar/internal/params"
-	"cedar/internal/sim"
 )
 
 // Flags carries the parsed values of the shared command flags. The zero
@@ -20,11 +19,6 @@ import (
 type Flags struct {
 	// Jobs is the fleet worker count (-jobs); 0 means GOMAXPROCS.
 	Jobs int
-	// Shards is the intra-run parallel engine's worker bound (-shards);
-	// 0 or 1 keeps the sequential schedule. Artifacts are byte-identical
-	// at any value — the flag only changes how much host parallelism one
-	// simulation may use.
-	Shards int
 	// Clusters is the simulated machine width (-clusters); 0 keeps the
 	// as-built 4-cluster Cedar, 16 and 64 select the scale-up presets.
 	Clusters int
@@ -32,9 +26,9 @@ type Flags struct {
 	Faults string
 }
 
-// Setup applies the shared flags after fs has been parsed. jobs and
-// shards must be positive when the user set them explicitly (the unset
-// default 0 means GOMAXPROCS for jobs and sequential for shards).
+// Setup applies the shared flags after fs has been parsed. jobs must be
+// positive when the user set it explicitly (the unset default 0 means
+// GOMAXPROCS).
 // Faults, when non-empty, names a JSON fault plan — or the literal
 // "demo" for the built-in dead-bank-plus-network-fault scenario — which
 // is validated and installed as the process-wide default so every
@@ -47,11 +41,7 @@ func Setup(fs *flag.FlagSet, f Flags) (*fault.Plan, error) {
 	if explicit["jobs"] && f.Jobs <= 0 {
 		return nil, fmt.Errorf("-jobs must be at least 1, got %d", f.Jobs)
 	}
-	if explicit["shards"] && f.Shards <= 0 {
-		return nil, fmt.Errorf("-shards must be at least 1, got %d", f.Shards)
-	}
 	fleet.SetJobs(f.Jobs)
-	sim.SetShards(f.Shards)
 	if err := params.SetDefaultClusters(f.Clusters); err != nil {
 		return nil, fmt.Errorf("-clusters %d: %w", f.Clusters, err)
 	}

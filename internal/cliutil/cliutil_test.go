@@ -11,7 +11,6 @@ import (
 	"cedar/internal/fault"
 	"cedar/internal/fleet"
 	"cedar/internal/params"
-	"cedar/internal/sim"
 )
 
 // newFS builds the flag set every command declares, pre-parsed with args.
@@ -32,7 +31,6 @@ func reset(t *testing.T) {
 	t.Cleanup(func() {
 		fault.SetDefault(nil)
 		fleet.SetJobs(0)
-		sim.SetShards(1)
 		if err := params.SetDefaultClusters(0); err != nil {
 			t.Fatal(err)
 		}
@@ -123,36 +121,19 @@ func TestSetupFaultErrors(t *testing.T) {
 	}
 }
 
-func TestSetupShardsAndClusters(t *testing.T) {
+func TestSetupClusters(t *testing.T) {
 	reset(t)
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	shards := fs.Int("shards", 0, "")
 	clusters := fs.Int("clusters", 0, "")
-	if err := fs.Parse([]string{"-shards", "4", "-clusters", "16"}); err != nil {
+	if err := fs.Parse([]string{"-clusters", "16"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Setup(fs, Flags{Shards: *shards, Clusters: *clusters}); err != nil {
+	if _, err := Setup(fs, Flags{Clusters: *clusters}); err != nil {
 		t.Fatal(err)
-	}
-	if got := sim.Shards(); got != 4 {
-		t.Errorf("sim.Shards() = %d, want 4", got)
 	}
 	if got := params.Default().Clusters; got != 16 {
 		t.Errorf("Default().Clusters = %d, want 16", got)
-	}
-
-	// Explicit non-positive -shards is rejected like -jobs.
-	fs = flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	shards = fs.Int("shards", 0, "")
-	if err := fs.Parse([]string{"-shards", "0"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Setup(fs, Flags{Shards: *shards}); err == nil {
-		t.Error("Setup(-shards 0): want error")
-	} else if !strings.Contains(err.Error(), "-shards") {
-		t.Errorf("error %q does not name the flag", err)
 	}
 
 	// An invalid width is rejected by params validation.
@@ -163,11 +144,7 @@ func TestSetupShardsAndClusters(t *testing.T) {
 
 func TestNewMetaHostFields(t *testing.T) {
 	reset(t)
-	sim.SetShards(3)
 	m := NewMeta("test", nil)
-	if m.Shards != 3 {
-		t.Errorf("Meta.Shards = %d, want 3", m.Shards)
-	}
 	if m.GoMaxProcs < 1 || m.NumCPU < 1 {
 		t.Errorf("host fields unset: %+v", m)
 	}

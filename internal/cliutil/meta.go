@@ -5,17 +5,16 @@ import (
 
 	"cedar/internal/fault"
 	"cedar/internal/fleet"
-	"cedar/internal/sim"
 )
 
 // MetaSchema versions the run-metadata header format.
-const MetaSchema = 2
+const MetaSchema = 3
 
 // Meta is the self-describing run-metadata header embedded in JSON
 // artifacts (cedarsim -json; cedarbench carries the same facts in its
 // own header): enough to tell, from the artifact alone, which tool
 // produced it under which fault plan and worker configuration. The
-// host-parallelism fields — Jobs, Shards, GoMaxProcs, NumCPU — may
+// host-parallelism fields — Jobs, GoMaxProcs, NumCPU — may
 // differ between byte-compared runs without the payload differing;
 // consumers comparing artifacts across worker configurations must
 // compare the payload, not the header.
@@ -23,11 +22,9 @@ type Meta struct {
 	Schema int    `json:"schema"`
 	Tool   string `json:"tool"`
 	Jobs   int    `json:"jobs"`
-	// Shards is the intra-run parallel engine's worker bound (1 = the
-	// sequential schedule); GoMaxProcs and NumCPU record how much host
-	// parallelism was actually available, so a committed artifact's
-	// measured throughput can be read in context.
-	Shards     int `json:"shards"`
+	// GoMaxProcs and NumCPU record how much host parallelism was
+	// actually available, so a committed artifact's measured throughput
+	// can be read in context.
 	GoMaxProcs int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
 	// FaultSeed and FaultPlan identify the process-wide fault plan
@@ -43,7 +40,6 @@ func NewMeta(tool string, plan *fault.Plan) Meta {
 		Schema:     MetaSchema,
 		Tool:       tool,
 		Jobs:       fleet.Jobs(),
-		Shards:     sim.Shards(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}

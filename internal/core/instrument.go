@@ -107,12 +107,9 @@ func (m *Machine) instrument() {
 
 	// Prefetch-block lifetime spans: first issue to last arrival, one
 	// track per CE, matching the paper's single-processor block monitor
-	// but machine-wide. The observer fires inside the CE's tick, so the
-	// post goes through the CE's cluster sink — the machine hub itself on
-	// a sequential build.
+	// but machine-wide.
 	for _, c := range ces {
 		track := fmt.Sprintf("pfu/ce%d", c.ID)
-		sh := m.ClusterScope(c.Cluster)
 		c.PFU().AddObserver(func(firstIssue int64, arrivals []int64) {
 			end := firstIssue
 			for _, a := range arrivals {
@@ -120,7 +117,7 @@ func (m *Machine) instrument() {
 					end = a
 				}
 			}
-			sh.Span(track, "prefetch-block", firstIssue, end)
+			h.Span(track, "prefetch-block", firstIssue, end)
 		})
 	}
 

@@ -90,41 +90,8 @@ type Machine struct {
 	// Faults is the machine's fault injector; nil on healthy machines.
 	Faults *fault.Injector
 
-	// shards is the cluster-shard count of an intra-run parallel build
-	// (0 when the machine was built for the sequential schedule).
-	shards   int
-	clScopes []*scope.Hub
-	drains   []func(cycle int64)
-
 	nextGlobal uint64
 	flopsBase  int64
-}
-
-// Sharded reports whether the machine was built for the intra-run
-// parallel engine (one shard per cluster). Controllers with per-shard
-// buffers (cfrt's tracer) branch on it.
-func (m *Machine) Sharded() bool { return m.shards > 0 }
-
-// ClusterScope returns the hub cluster cl's components must post trace
-// spans to from inside a tick: a shard-private sink on a sharded machine
-// (merged back in cluster order every cycle), the machine hub itself
-// otherwise. Metric registration always goes to Scope directly — it
-// happens at construction time, before the engine runs.
-func (m *Machine) ClusterScope(cl int) *scope.Hub {
-	if m.shards > 0 && cl >= 0 && cl < len(m.clScopes) {
-		return m.clScopes[cl]
-	}
-	return m.Scope
-}
-
-// AddDrain appends a hook to the sharded engine's drain phase, after the
-// fabric mailboxes and span sinks have been replayed. Runtimes that
-// buffer per-shard effects flush through it. No-op on a sequential
-// machine, whose effects were never deferred.
-func (m *Machine) AddDrain(f func(cycle int64)) {
-	if m.shards > 0 {
-		m.drains = append(m.drains, f)
-	}
 }
 
 // New builds a machine. It returns an error for invalid parameter sets.
@@ -159,16 +126,6 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 	m := &Machine{P: p, Engine: sim.New(), Fwd: fwd, Rev: rev, Scope: opt.Scope}
 	m.Mem = gmem.New(p, fwd, rev, nil)
 
-	// Intra-run parallelism: with -shards > 1 and more than one cluster,
-	// each cluster becomes an engine shard (the fabrics, global memory,
-	// and samplers stay in the hub region). Cluster→fabric submissions
-	// defer into per-shard mailboxes and trace spans into per-cluster
-	// sinks, both replayed in cluster order by the drain hook, so the
-	// artifacts are byte-identical to a sequential (-shards 1) build.
-	if sim.Shards() > 1 && p.Clusters > 1 {
-		m.shards = p.Clusters
-	}
-
 	plan := opt.Faults
 	if plan == nil && !opt.NoFaults {
 		plan = fault.Default()
@@ -185,17 +142,6 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 			fwd.SetFaults(inj)
 			rev.SetFaults(inj)
 		}
-	}
-
-	// regCluster registers cluster components, as shard cl on a sharded
-	// build and in the plain tick order otherwise — the component order
-	// (eight CEs then the cache/cmem composite, cluster-major) is the
-	// same either way.
-	regCluster := func(cl int, cs ...sim.Component) []sim.Handle {
-		if m.shards > 0 {
-			return m.Engine.RegisterShard(cl, cs...)
-		}
-		return m.Engine.Register(cs...)
 	}
 
 	for cl := 0; cl < p.Clusters; cl++ {
@@ -226,7 +172,7 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 			}
 			cluster.CEs = append(cluster.CEs, c)
 			m.CEs = append(m.CEs, c)
-			h := regCluster(cl, c)[0]
+			h := m.Engine.Register(c)[0]
 			c.SetWaker(h.Wake)
 			// The CE ticks before the reverse fabric, so an egress packet
 			// is consumable the cycle after it lands.
@@ -237,7 +183,7 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 		// Cache and cluster memory tick as one composite, after the
 		// cluster's CEs (which submit to the cache) and with the cache
 		// ahead of the memory behind it.
-		ch := regCluster(cl, sim.SchedFunc{
+		ch := m.Engine.Register(sim.SchedFunc{
 			ID: fmt.Sprintf("cluster%d", cl),
 			F:  func(cy int64) { cc.Tick(cy); cm.Tick(cy) },
 			W: func(now int64) int64 {
@@ -257,39 +203,6 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 	// deliver arrival cycles directly.
 	m.Mem.SetWaker(hs[1].Wake)
 	rev.SetWaker(hs[2].Wake)
-	if m.shards > 0 {
-		// Port ownership is per fabric side, because CE ports and memory
-		// module ports share one index space (modules are spread across
-		// the port range, so the two sets overlap). Cluster components
-		// offer on fwd and poll on rev during phase A — those sides carry
-		// the CE-port map. The memory offers on rev and polls on fwd from
-		// the serial hub pass — those sides stay fully inline (nil map).
-		portOf := make([]int, p.NetPorts)
-		for i := range portOf {
-			portOf[i] = -1
-		}
-		for _, c := range m.CEs {
-			portOf[c.Port] = c.Cluster
-		}
-		shardOf := func(port int) int { return portOf[port] }
-		fwd.SetShards(shardOf, nil, p.Clusters)
-		rev.SetShards(nil, shardOf, p.Clusters)
-		if opt.Scope != nil {
-			for cl := 0; cl < p.Clusters; cl++ {
-				m.clScopes = append(m.clScopes, opt.Scope.SpanSink())
-			}
-		}
-		m.Engine.SetDrain(func(cycle int64) {
-			fwd.DrainShards()
-			rev.DrainShards()
-			for _, s := range m.clScopes {
-				m.Scope.DrainSpans(s)
-			}
-			for _, f := range m.drains {
-				f(cycle)
-			}
-		})
-	}
 	m.instrument()
 	return m, nil
 }

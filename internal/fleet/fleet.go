@@ -88,11 +88,11 @@ func Jobs() int {
 // error of the earliest-submitted failing job is returned.
 //
 // Panics if a Job.Run panics: worker goroutines capture component panics
-// (mirroring the sim shardRunner) and the first recorded one is rethrown
-// on the caller's goroutine after the pool drains, so a panicking job
-// poisons the Run call — where the caller can recover — and never kills
-// the process from a goroutine nobody owns. The remaining jobs still run
-// to completion before the rethrow.
+// and the first recorded one is rethrown on the caller's goroutine after
+// the pool drains, so a panicking job poisons the Run call — where the
+// caller can recover — and never kills the process from a goroutine
+// nobody owns. The remaining jobs still run to completion before the
+// rethrow.
 func Run[T any](cfg Config, jobs []Job[T]) ([]T, error) {
 	if len(jobs) == 0 {
 		return nil, nil
@@ -168,7 +168,7 @@ func runGuarded[T any](rec *recovered, j Job[T], parent *scope.Hub, cache *Cache
 }
 
 // recovered holds the first panic captured by the worker pool, for the
-// caller's goroutine to rethrow — the same idiom as sim's shardRunner.
+// caller's goroutine to rethrow.
 type recovered struct {
 	mu sync.Mutex
 	p  any

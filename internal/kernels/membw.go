@@ -73,9 +73,9 @@ func MemBW(m *core.Machine, nCE int, stride int64, wordsPerCE int) (MemBWPoint, 
 // perCEProgram hands each CE its own fixed instruction sequence.
 type perCEProgram struct {
 	instrs func(ceID int) []*ce.Instr
-	// mu guards the lazily built maps: CEs in different cluster shards
-	// call Next concurrently on an intra-run parallel engine, and each
-	// only touches its own entries.
+	// mu guards the lazily built maps, so Next stays race-free if the
+	// program is ever shared between machines running on different
+	// goroutines; each CE only touches its own entries.
 	mu   sync.Mutex
 	seqs map[int][]*ce.Instr
 	pos  map[int]int

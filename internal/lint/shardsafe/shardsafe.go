@@ -1,28 +1,26 @@
-// Package shardsafe enforces the parallel-engine ownership rule: code
-// that runs in phase A of the sharded cycle must not write state another
-// shard can see.
+// Package shardsafe enforces the per-machine ownership rule: code that
+// runs inside a simulated cycle must not write state another machine can
+// see.
 //
-// Under `-shards N` the engine ticks shard-owned components concurrently
-// (phase A) and drains cross-shard effects in the hub afterwards. Within
-// phase A a component may mutate only its own object graph; every
-// cross-shard effect must travel through a sanctioned deferred API — the
-// fabric Offer/Poll mailboxes, scope span sinks, the engine wake heap —
-// all of which defer internally and replay in the hub in fixed shard
-// order. The one class of state those APIs cannot protect is the
-// process-global kind: a package-level variable is visible from every
-// shard at once, so a write to one from Tick-reachable code is a data
-// race under the parallel engine and a determinism hole under the
-// sequential one.
+// A machine's components tick on one goroutine, but a process runs many
+// machines at once: the fleet pool executes -jobs experiment points
+// concurrently, and cedarserve runs one simulation per admitted request.
+// Each machine owns its object graph, so a component may mutate only
+// that graph; anything it shares must be read-only or synchronised. A
+// package-level variable is the one kind of state every machine in the
+// process sees at once, so a write to one from Tick-reachable code is a
+// data race between concurrent machines and a determinism hole for each
+// of them (its value then depends on how their ticks interleave).
 //
 // The check therefore flags, in any function reachable on the module
 // call graph from a Tick/Step root declared in one of the configured
-// shard packages, every assignment or ++/-- whose destination resolves
-// to a package-level variable (of any package — writing another
-// package's exported global from per-cycle code is just as shared).
-// Reads are fine, receiver/local writes are fine, and mutation through
-// the atomic types' method sets appears as calls rather than
-// assignments, so the sanctioned sync/atomic escape hatch passes
-// untouched. Justified exceptions carry //lint:allow shardsafe.
+// packages, every assignment or ++/-- whose destination resolves to a
+// package-level variable (of any package — writing another package's
+// exported global from per-cycle code is just as shared). Reads are
+// fine, receiver/local writes are fine, and mutation through the atomic
+// types' method sets appears as calls rather than assignments, so the
+// sanctioned sync/atomic escape hatch passes untouched. Justified
+// exceptions carry //lint:allow shardsafe.
 package shardsafe
 
 import (
@@ -38,7 +36,7 @@ import (
 // covers.
 type Config struct {
 	// ShardPkgs lists module-relative package paths whose Tick/Step
-	// roots start phase-A code. Roots are only taken from these
+	// roots start per-cycle code. Roots are only taken from these
 	// packages, and findings are only reported in them.
 	ShardPkgs []string
 	// Roots lists the function/method names that start a cycle
@@ -47,10 +45,8 @@ type Config struct {
 }
 
 // DefaultConfig covers the same per-cycle surface as hotalloc: the
-// engine and every component it can tick. Hub-side components (gmem,
-// the fabrics' drain path) are included deliberately — a global write is
-// a fleet-determinism hole even from the serial phase, and the shard
-// contract is easiest to audit when the whole cycle obeys it.
+// engine and every component it can tick, so the whole cycle obeys the
+// ownership rule.
 var DefaultConfig = Config{
 	ShardPkgs: []string{
 		"internal/sim",
@@ -73,7 +69,7 @@ var Analyzer = New(DefaultConfig)
 func New(cfg Config) *lint.ModuleAnalyzer {
 	a := &lint.ModuleAnalyzer{
 		Name: "shardsafe",
-		Doc:  "flags writes to package-level state from per-cycle Tick/Step-reachable code; cross-shard effects must use the deferred mailbox/sink APIs",
+		Doc:  "flags writes to package-level state from per-cycle Tick/Step-reachable code; per-cycle state must live in the machine's own object graph",
 	}
 	a.Run = func(pass *lint.ModulePass) error { return run(pass, cfg) }
 	return a
@@ -137,7 +133,7 @@ func run(pass *lint.ModulePass, cfg Config) error {
 	return nil
 }
 
-// checkFunc walks one phase-A-reachable function body and reports
+// checkFunc walks one per-cycle function body and reports
 // writes whose destination is package-level. via names the root that
 // makes the function per-cycle.
 func checkFunc(pass *lint.ModulePass, node *lint.FuncNode, via string) {
@@ -152,7 +148,7 @@ func checkFunc(pass *lint.ModulePass, node *lint.FuncNode, via string) {
 			return
 		}
 		pass.Reportf(dst.Pos(),
-			"write to package-level %s.%s from per-cycle code (reachable from %s); shard-visible effects must go through a deferred mailbox/sink API",
+			"write to package-level %s.%s from per-cycle code (reachable from %s); every concurrently running machine shares it",
 			obj.Pkg().Name(), obj.Name(), via)
 	}
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {

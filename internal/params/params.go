@@ -91,9 +91,8 @@ type Machine struct {
 }
 
 // defaultClusters holds the process-wide cluster-count override set by
-// the -clusters CLI flag (0 or 4 = the as-built Cedar). Atomic for the
-// same reason sim.SetShards is: tests and fleet workers read it
-// concurrently.
+// the -clusters CLI flag (0 or 4 = the as-built Cedar). Atomic because
+// tests and fleet workers read it concurrently.
 var defaultClusters atomic.Int64
 
 // SetDefaultClusters installs a process-wide cluster count consulted by

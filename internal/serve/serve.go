@@ -8,9 +8,9 @@
 //   - Byte-determinism. The response body for a given request is computed
 //     once, cached as bytes, and every later identical request is served
 //     those exact bytes. A cached response is byte-identical to a fresh
-//     simulation — the same invariant the -jobs/-shards equality gates
-//     pin, extended across process restarts when a durable store backs
-//     the cache.
+//     simulation — the same invariant the -jobs equality gates pin,
+//     extended across process restarts when a durable store backs the
+//     cache.
 //   - Single flight. In-flight identical requests coalesce on the fleet
 //     run cache: the first computes, the rest wait and share the result.
 //   - Crash isolation. A panicking simulation is captured by the handler
@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -41,6 +42,11 @@ import (
 // response-shape change can never serve stale bytes from a store written
 // by an older daemon.
 const SchemaVersion = 1
+
+// MaxRequestBytes bounds a /v1/run request body. A legitimate submission
+// is a few hundred bytes — an inline fault plan a few KiB — so anything
+// past the bound is refused with 413 before it is buffered.
+const MaxRequestBytes = 1 << 20
 
 // Config configures a Server.
 type Config struct {
@@ -189,10 +195,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
+	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	req, plan, metrics, err := s.decode(r)
 	if err != nil {
 		s.badRequests.Add(1)
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeError(w, status, err.Error())
 		return
 	}
 	s.requests.Add(1)
@@ -212,13 +224,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // decode parses and validates a submission, resolving its fault plan and
-// metric filter. All rejections are client errors.
+// metric filter. All rejections are client errors. The whole body is
+// read, so a size bound on it also catches padding after the JSON value.
 func (s *Server) decode(r *http.Request) (Request, *fault.Plan, []string, error) {
 	var req Request
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, nil, nil, fmt.Errorf("decoding request: %w", err)
+	}
+	if _, err := io.Copy(io.Discard, r.Body); err != nil {
+		return req, nil, nil, fmt.Errorf("reading request: %w", err)
 	}
 	if err := req.Machine.Validate(); err != nil {
 		return req, nil, nil, err

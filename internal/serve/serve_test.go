@@ -168,23 +168,33 @@ func TestCoalescedRequestsShareOneSimulation(t *testing.T) {
 // envelope — never a default-configured run.
 func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{Jobs: 1})
+	pad := strings.Repeat(" ", MaxRequestBytes)
 	cases := []struct {
 		name, body, wantErr string
+		status              int // 0 means 400
 	}{
-		{"truncated json", `{"machine":`, "decoding request"},
-		{"unknown field", `{"machine":{"name":"m","fabrik":"omega"}}`, "unknown field"},
-		{"bad fabric", `{"machine":{"fabric":"hypercube"},"workload":{"kind":"trimat"}}`, "unknown fabric"},
-		{"bad kind", `{"workload":{"kind":"sort"}}`, "unknown kind"},
-		{"negative size", `{"workload":{"kind":"trimat","n":-4}}`, "non-negative"},
-		{"bad rank variant", `{"workload":{"kind":"rank","variant":"turbo"}}`, "unknown rank variant"},
-		{"fault path", `{"workload":{"kind":"trimat"},"fault":{"path":"/etc/passwd"}}`, "not accepted"},
-		{"fault demo+plan", `{"workload":{"kind":"trimat"},"fault":{"demo":true,"plan":{}}}`, "mutually exclusive"},
+		{"truncated json", `{"machine":`, "decoding request", 0},
+		{"unknown field", `{"machine":{"name":"m","fabrik":"omega"}}`, "unknown field", 0},
+		{"bad fabric", `{"machine":{"fabric":"hypercube"},"workload":{"kind":"trimat"}}`, "unknown fabric", 0},
+		{"bad kind", `{"workload":{"kind":"sort"}}`, "unknown kind", 0},
+		{"negative size", `{"workload":{"kind":"trimat","n":-4}}`, "non-negative", 0},
+		{"bad rank variant", `{"workload":{"kind":"rank","variant":"turbo"}}`, "unknown rank variant", 0},
+		{"fault path", `{"workload":{"kind":"trimat"},"fault":{"path":"/etc/passwd"}}`, "not accepted", 0},
+		{"fault demo+plan", `{"workload":{"kind":"trimat"},"fault":{"demo":true,"plan":{}}}`, "mutually exclusive", 0},
+		// A valid submission padded past MaxRequestBytes, before or after
+		// the JSON value, is refused whole.
+		{"leading padding", pad + reqBody, "too large", http.StatusRequestEntityTooLarge},
+		{"trailing padding", reqBody + pad, "too large", http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			want := tc.status
+			if want == 0 {
+				want = http.StatusBadRequest
+			}
 			code, _, body := postRun(t, ts.URL, tc.body)
-			if code != http.StatusBadRequest {
-				t.Fatalf("code = %d, want 400; body: %s", code, body)
+			if code != want {
+				t.Fatalf("code = %d, want %d; body: %.200s", code, want, body)
 			}
 			var eb errorBody
 			if err := json.Unmarshal(body, &eb); err != nil {

@@ -17,13 +17,6 @@
 // registration order and a skipped component's Tick is by contract a
 // no-op, the schedule of effective ticks — and therefore every
 // deterministic artifact — is byte-identical to the stepped run.
-//
-// The engine can additionally shard the tick order (see RegisterShard
-// and shard.go): components registered into shards tick concurrently in
-// phase A of each cycle on a bounded worker set, a drain hook applies
-// deferred cross-shard effects in fixed shard order, and the remaining
-// (hub) components tick serially. Sharding is a pure execution-strategy
-// change — artifacts must stay byte-identical to the unsharded order.
 package sim
 
 import (
@@ -90,33 +83,6 @@ func SetSteppedMode(on bool) { steppedMode.Store(on) }
 // SteppedModeEnabled reports the current process-wide default.
 func SteppedModeEnabled() bool { return steppedMode.Load() }
 
-// shardsDefault is the process-wide phase-A worker bound, captured by
-// New like steppedMode: ≤ 1 (the default) keeps every engine on the
-// single-goroutine schedule; N > 1 lets machines built afterwards shard
-// their clusters and tick up to N shards concurrently. It follows the
-// same process-wide-default pattern as the fleet's jobs count.
-var shardsDefault atomic.Int64
-
-// SetShards sets the process-wide intra-run parallelism for engines
-// built afterwards: n ≤ 1 (the default) disables sharding, n > 1 bounds
-// the phase-A worker set. Sharding is required to be invisible — the
-// shards-1-vs-N equivalence gates byte-compare every artifact — so like
-// SetSteppedMode this is a strategy switch, never a semantic one.
-func SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	shardsDefault.Store(int64(n))
-}
-
-// Shards reports the current process-wide worker bound (minimum 1).
-func Shards() int {
-	if n := shardsDefault.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
-
 // wakeEntry is one pending (cycle, component) wake in the wheel's heap.
 type wakeEntry struct {
 	at  int64
@@ -134,14 +100,10 @@ type Engine struct {
 	// components, which are ticked every cycle).
 	sched []Sleeper
 	// wake is the authoritative next-wake cycle per component; entries for
-	// plain components are unused. The heaps index the same values with
+	// plain components are unused. The heap indexes the same values with
 	// lazy invalidation: an entry is live iff its at equals wake[idx].
-	// heaps[0] is the hub heap (and the only heap on an unsharded
-	// engine); shard s posts into heaps[s+1], so phase-A workers never
-	// contend on a shared heap. The global jump target is the min over
-	// all heaps.
-	wake  []int64
-	heaps [][]wakeEntry
+	wake []int64
+	heap []wakeEntry
 	// plain counts registered non-Sleeper components; while it is nonzero
 	// the clock can never jump (the busy-region rule).
 	plain   int
@@ -153,31 +115,9 @@ type Engine struct {
 	// inCycle/pos track the in-progress tick pass so wakes aimed at or
 	// before the current cycle land on the earliest cycle the target can
 	// still legally execute: the current one if its turn is still ahead,
-	// the next one otherwise. On a sharded engine pos covers only the
-	// drain + hub passes; phase A uses the per-shard spos instead.
+	// the next one otherwise.
 	inCycle bool
 	pos     int
-
-	// Sharding (see shard.go). shardHi[s] is one past the last component
-	// index of shard s; shards are contiguous from index 0, so shard s
-	// spans [shardHi[s-1], shardHi[s]) and every index ≥ shardHi[last] is
-	// a hub component. shardOf maps a component index to its shard, or -1
-	// for hub components. spos[s] is shard s's in-cycle position during
-	// phase A, written and read only by the worker that owns the shard.
-	shardHi []int
-	shardOf []int
-	spos    []int
-	// phaseA is true while shard workers are ticking; it routes setWake's
-	// floor decision to the per-shard position.
-	phaseA bool
-	// drain applies deferred cross-shard effects (fabric mailboxes, scope
-	// span sinks) between phase A and the hub pass, in fixed shard order.
-	drain func(cycle int64)
-	// maxWorkers bounds phase-A concurrency; captured from the
-	// process-wide SetShards default at New.
-	maxWorkers int
-	// runner is the live worker pool while a Run/RunUntil is in flight.
-	runner *shardRunner
 }
 
 type namedIdler struct {
@@ -197,11 +137,7 @@ var ErrNonPositiveLimit = errors.New("sim: non-positive cycle limit")
 
 // New returns an empty engine at cycle 0 in the process-wide mode.
 func New() *Engine {
-	return &Engine{
-		stepped:    steppedMode.Load(),
-		maxWorkers: Shards(),
-		heaps:      make([][]wakeEntry, 1),
-	}
+	return &Engine{stepped: steppedMode.Load()}
 }
 
 // Handle names one registered component and carries wakes to it. The
@@ -228,39 +164,26 @@ func (h Handle) Wake(at int64) {
 }
 
 // setWake records component i's next wake as at (clamping to the
-// earliest legally executable cycle) and indexes it in the owning heap.
-// During phase A the floor comes from the owning shard's position —
-// same-shard producers are the only legal phase-A wakers, so the check
-// mirrors the sequential one shard-locally; during the drain and hub
-// passes the global pos covers every already-ticked component.
+// earliest legally executable cycle: the next one once the in-progress
+// pass has reached i) and indexes it in the heap.
 func (e *Engine) setWake(i int, at int64) {
 	floor := e.cycle
-	if e.inCycle {
-		if e.phaseA {
-			if s := e.shardOf[i]; s >= 0 && i <= e.spos[s] {
-				floor = e.cycle + 1
-			}
-		} else if i <= e.pos {
-			floor = e.cycle + 1
-		}
+	if e.inCycle && i <= e.pos {
+		floor = e.cycle + 1
 	}
 	if at < floor {
 		at = floor
 	}
 	e.wake[i] = at
 	if at != Never {
-		h := 0
-		if e.shardOf != nil {
-			h = e.shardOf[i] + 1
-		}
-		e.heaps[h] = append(e.heaps[h], wakeEntry{at: at, idx: i})
-		e.siftUp(h, len(e.heaps[h])-1)
+		e.heap = append(e.heap, wakeEntry{at: at, idx: i})
+		e.siftUp(len(e.heap) - 1)
 	}
 }
 
-// siftUp restores heap h's order after an append.
-func (e *Engine) siftUp(h, i int) {
-	hp := e.heaps[h]
+// siftUp restores the heap's order after an append.
+func (e *Engine) siftUp(i int) {
+	hp := e.heap
 	for i > 0 {
 		p := (i - 1) / 2
 		if hp[p].at <= hp[i].at {
@@ -271,12 +194,12 @@ func (e *Engine) siftUp(h, i int) {
 	}
 }
 
-// popHeap removes heap h's minimum entry.
-func (e *Engine) popHeap(h int) {
-	hp := e.heaps[h]
+// popHeap removes the heap's minimum entry.
+func (e *Engine) popHeap() {
+	hp := e.heap
 	n := len(hp) - 1
 	hp[0] = hp[n]
-	e.heaps[h] = hp[:n]
+	e.heap = hp[:n]
 	// Sift down.
 	i := 0
 	for {
@@ -296,42 +219,26 @@ func (e *Engine) popHeap(h int) {
 	}
 }
 
-// nextWakeOf returns heap h's earliest live wake cycle, discarding stale
-// entries (whose at no longer matches the component's authoritative
-// wake) along the way.
-func (e *Engine) nextWakeOf(h int) int64 {
-	for len(e.heaps[h]) > 0 {
-		top := e.heaps[h][0]
+// nextWakeOf returns the heap's earliest live wake cycle, discarding
+// stale entries (whose at no longer matches the component's
+// authoritative wake) along the way. Never means no component has a
+// pending wake.
+func (e *Engine) nextWakeOf() int64 {
+	for len(e.heap) > 0 {
+		top := e.heap[0]
 		if top.at == e.wake[top.idx] {
 			return top.at
 		}
-		e.popHeap(h)
+		e.popHeap()
 	}
 	return Never
-}
-
-// nextWake returns the earliest live wake cycle across every heap — on a
-// sharded engine the global jump target is the min over the per-shard
-// wake heaps and the hub heap, so a shard whose components all sleep
-// never blocks the jump. Never means no component has a pending wake.
-func (e *Engine) nextWake() int64 {
-	w := Never
-	for h := range e.heaps {
-		if hw := e.nextWakeOf(h); hw < w {
-			w = hw
-		}
-	}
-	return w
 }
 
 // Register appends components to the tick order and returns their
 // handles, one per component, for wake wiring. Newly registered
 // components are due immediately; their first NextWakeup requery (at the
 // next run entry) installs the real schedule, so registration order and
-// wiring order never race. On a sharded engine, Register places
-// components in the hub: they tick serially after every shard's phase-A
-// pass, so fabrics, global memory, and samplers observe a fully drained
-// machine each cycle.
+// wiring order never race.
 func (e *Engine) Register(cs ...Component) []Handle {
 	hs := make([]Handle, len(cs))
 	for k, c := range cs {
@@ -348,9 +255,6 @@ func (e *Engine) Register(cs ...Component) []Handle {
 		}
 		e.sched = append(e.sched, s)
 		e.wake = append(e.wake, e.cycle)
-		if e.shardOf != nil {
-			e.shardOf = append(e.shardOf, -1)
-		}
 		hs[k] = Handle{e: e, idx: i}
 	}
 	return hs
@@ -454,10 +358,6 @@ func (e *Engine) limitErr(limit int64) error {
 // still hand a later consumer same-cycle work via Wake. After a due
 // Sleeper ticks, its schedule is re-queried for the next cycle.
 func (e *Engine) stepOnce() {
-	if len(e.shardHi) > 0 {
-		e.stepSharded()
-		return
-	}
 	c := e.cycle
 	e.inCycle = true
 	for i, comp := range e.components {
@@ -482,7 +382,7 @@ func (e *Engine) tryJump(deadline int64) bool {
 	if e.stepped || e.plain > 0 {
 		return false
 	}
-	w := e.nextWake()
+	w := e.nextWakeOf()
 	if w <= e.cycle {
 		return false
 	}
@@ -510,8 +410,6 @@ func (e *Engine) Run(n int64) {
 	if n <= 0 {
 		return
 	}
-	stop := e.startWorkers()
-	defer stop()
 	e.pollAll()
 	deadline := e.cycle + n
 	for e.cycle < deadline {
@@ -529,8 +427,6 @@ func (e *Engine) RunUntil(done func() bool, limit int64) error {
 	if limit <= 0 {
 		return fmt.Errorf("%w: %d", ErrNonPositiveLimit, limit)
 	}
-	stop := e.startWorkers()
-	defer stop()
 	e.pollAll()
 	start := e.cycle
 	for !done() {

@@ -20,11 +20,12 @@ import (
 // share of the machine, because a task's barrier can spin while its
 // partner CEs run a different task.
 //
-// Rotation decisions read machine-wide completion flags, so the result
-// is only defined for the sequential engine schedule: run time-sharing
-// studies with -shards 1. The mutex below keeps a sharded run safe (no
-// data races), but its rotations then depend on cross-cluster tick
-// interleaving and are not byte-comparable across shard counts.
+// Rotation decisions read machine-wide completion flags, which is sound
+// because the engine ticks every CE of a machine from one goroutine, in
+// registration order. The mutex below keeps a TimeSharer race-free if a
+// caller shares it between machines running on different goroutines;
+// the rotations of such a shared instance would interleave across the
+// machines and are not reproducible.
 type TimeSharer struct {
 	mu      sync.Mutex
 	p       params.Machine

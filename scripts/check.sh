@@ -53,17 +53,6 @@ echo "==> stepped-vs-event engine equivalence (-race)"
 go test -race -count=1 -run '^(TestSteppedVsEventEquality|TestSteppedVsEventDegraded)$' .
 go test -race -count=1 -run '^TestRandomWakeInterleavingsMatchStepped$' ./internal/sim
 
-echo "==> sharded-vs-sequential engine equality (-race, parallel phase A)"
-# The intra-run parallel engine must be invisible: -shards 1 and
-# -shards N byte-identical report/JSON/trace/metrics — healthy and
-# fault-degraded — with the race detector watching the real phase-A
-# worker pool. Plus the machine-level equality run, the seeded property
-# test over random shard counts and worker interleavings, and the
-# all-asleep-shard jump regression.
-go test -race -count=1 -run '^(TestShardsVsSequentialEquality|TestShardsVsSequentialDegraded)$' .
-go test -race -count=1 -run '^(TestShardedMachineMatchesSequential|TestAttributionConservationParallel)$' ./internal/core
-go test -race -count=1 -run '^(TestShardedMatchesFlat|TestSleepingShardDoesNotBlockJump)$' ./internal/sim
-
 echo "==> cedarserve cached-vs-fresh response equality (-race)"
 # The serving daemon's cache must be invisible: a response served from
 # the in-process cache, from a coalesced in-flight computation, or from
@@ -94,18 +83,29 @@ echo "==> cedarbench latency campaign (event-wheel win) + regression diff"
 go run ./cmd/cedarbench run -config bench/campaigns/latency.json -out artifacts/BENCH_latency.json -q
 go run ./cmd/cedarbench diff bench/BENCH_latency.json artifacts/BENCH_latency.json -threshold 5% -alloc-threshold 30%
 
-echo "==> cedarbench wide campaign (16/64-cluster presets, shards 1 vs 4) + regression diff"
-# The wide campaign runs the scale-up machines once per declared shards
-# value and fails itself if the deterministic sections differ, so a
-# green run is a sequential-vs-sharded byte-equality proof on the
-# machines big enough for sharding to matter. The diff gates their
+echo "==> cedarbench wide campaign (16/64-cluster presets) + regression diff"
+# The wide campaign runs the scale-up machines, where the omega fabrics
+# and global memory carry most of the host time; the diff gates their
 # simcycles like any other committed baseline.
 go run ./cmd/cedarbench run -config bench/campaigns/wide.json -out artifacts/BENCH_wide.json -q
 go run ./cmd/cedarbench diff bench/BENCH_wide.json artifacts/BENCH_wide.json -threshold 5% -alloc-threshold 30%
+
+echo "==> perfbench unit tests"
+# The repo benchmark (perfbench/, declared in BENCHMARK.json) is its own
+# Go module, hidden from ./... by the leading underscore of _cmd. Its
+# tests run under the same build environment perfbench/run.sh exports,
+# so they see exactly what the benchmark build sees.
+(
+  out="$PWD/.bench_build"
+  export GOCACHE="$out/gocache" GOMODCACHE="$out/gomodcache" GOPATH="$out/gopath"
+  export XDG_CONFIG_HOME="$out/config" GOTMPDIR="$out/gotmp" GOTOOLCHAIN=local GOFLAGS=-mod=mod GOPROXY=off
+  mkdir -p "$GOTMPDIR"
+  cd perfbench/_cmd && go test ./...
+)
 
 echo "==> fuzz smoke ($FUZZTIME per target)"
 go test -run='^$' -fuzz='^FuzzOmegaRouting$' -fuzztime="$FUZZTIME" ./internal/network
 go test -run='^$' -fuzz='^FuzzInstability$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBands$' -fuzztime="$FUZZTIME" ./internal/ppt
 
-echo "OK: build, vet, cedarvet, race tests, shard equality, serve equality, bench campaigns and fuzz smoke all green"
+echo "OK: build, vet, cedarvet, race tests, engine equality, serve equality, bench campaigns, perfbench tests and fuzz smoke all green"
